@@ -247,6 +247,7 @@ func BenchmarkCommitPath(b *testing.B) {
 	}
 	obj := page.ObjectID{Page: ids[0], Slot: 0}
 	buf := make([]byte, 32)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		txn, _ := c.Begin()
@@ -327,6 +328,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	l := wal.NewLog(wal.NewMemStore(0))
 	rec := &wal.Update{TxnID: ident.MakeTxnID(1, 1), Page: 1, Slot: 0, PSN: 1,
 		Op: wal.OpOverwrite, Before: make([]byte, 32), After: make([]byte, 32)}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := l.Append(rec); err != nil {
@@ -343,6 +345,7 @@ func BenchmarkLockAcquireCached(b *testing.B) {
 	llm.InstallCached(lock.PageName(1), lock.X)
 	t1 := ident.MakeTxnID(1, 1)
 	name := lock.ObjName(page.ObjectID{Page: 1, Slot: 3})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if res, err := llm.AcquireLocal(t1, name, lock.X); err != nil || res != lock.Granted {

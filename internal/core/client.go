@@ -57,9 +57,10 @@ type txnState struct {
 	firstLSN wal.LSN
 	lastLSN  wal.LSN
 	// buffered holds encoded log records for the ship-at-commit
-	// baselines; dirtyPages the pages to ship in LogShipPages mode.
+	// baselines; dirtyPages the pages to ship in LogShipPages mode, in
+	// first-update order (kept only in that mode).
 	buffered   [][]byte
-	dirtyPages map[page.ID]bool
+	dirtyPages []page.ID
 	// tr is the transaction's causal span recorder (nil when tracing
 	// is off; every method on it tolerates nil).
 	tr *span.TxnTrace
@@ -68,6 +69,16 @@ type txnState struct {
 	// Forward appends must leave this much capacity free (summed over
 	// all active transactions) so rollback can always log.
 	undoNeed uint64
+}
+
+// noteDirtyPage adds pid to the pages to ship at commit.
+func (st *txnState) noteDirtyPage(pid page.ID) {
+	for _, p := range st.dirtyPages {
+		if p == pid {
+			return
+		}
+	}
+	st.dirtyPages = append(st.dirtyPages, pid)
 }
 
 // Undo reservation sizing: a CLR compensating an update is at most the

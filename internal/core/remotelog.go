@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -66,7 +67,7 @@ func (r *RemoteLogStore) primeLocked() error {
 }
 
 // Append implements wal.Store: the record buffers locally until the
-// next Flush.
+// next Flush.  Like every Store it owns payload from here on.
 func (r *RemoteLogStore) Append(payload []byte) (wal.LSN, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -74,9 +75,7 @@ func (r *RemoteLogStore) Append(payload []byte) (wal.LSN, error) {
 		return wal.NilLSN, err
 	}
 	lsn := r.end
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	r.pending = append(r.pending, pendingRec{lsn: lsn, payload: cp})
+	r.pending = append(r.pending, pendingRec{lsn: lsn, payload: payload})
 	r.end += wal.LSN(len(payload) + 8) // mirror the store's framing
 	return lsn, nil
 }
@@ -232,14 +231,16 @@ func (s *Server) LogOp(req msg.LogReq) (msg.LogReply, error) {
 		return msg.LogReply{}, fmt.Errorf("core: server hosts no remote logs")
 	}
 	st := s.remoteLogs.store(req.Client)
+	// The request's payloads belong to the transport; the hosted store
+	// keeps what it is given, so it gets copies.
 	switch req.Op {
 	case msg.LogAppend:
-		lsn, err := st.Append(req.Payload)
+		lsn, err := st.Append(bytes.Clone(req.Payload))
 		return msg.LogReply{LSN: lsn}, err
 	case msg.LogAppendBatch:
 		var first wal.LSN
 		for i, payload := range req.Batch {
-			lsn, err := st.Append(payload)
+			lsn, err := st.Append(bytes.Clone(payload))
 			if err != nil {
 				return msg.LogReply{}, err
 			}

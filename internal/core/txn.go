@@ -38,7 +38,7 @@ func (c *Client) Begin() (*Txn, error) {
 	}
 	c.mu.Lock()
 	c.nextSeq++
-	st := &txnState{id: ident.MakeTxnID(c.id, c.nextSeq), dirtyPages: make(map[page.ID]bool)}
+	st := &txnState{id: ident.MakeTxnID(c.id, c.nextSeq)}
 	st.tr = c.cfg.Spans.Begin(st.id)
 	c.txns[st.id] = st
 	c.mu.Unlock()
@@ -83,7 +83,7 @@ func (t *Txn) record(rec wal.Record, pid page.ID) (wal.LSN, error) {
 	// room for every active transaction's rollback plus the CLR this
 	// record may later require (and, on the first record, the abort
 	// record itself).
-	undo := uint64(len(wal.Encode(rec))) + 8 + clrSlack
+	undo := uint64(wal.EncodedSize(rec)) + 8 + clrSlack
 	headroom := t.c.undoReserveLocked(nil) + undo
 	if t.st.firstLSN == wal.NilLSN {
 		headroom += abortRecCost
@@ -101,7 +101,9 @@ func (t *Txn) record(rec wal.Record, pid page.ID) (wal.LSN, error) {
 	if t.c.cfg.Logging != LogLocal {
 		t.st.buffered = append(t.st.buffered, wal.Encode(rec))
 	}
-	t.st.dirtyPages[pid] = true
+	if t.c.cfg.Logging == LogShipPages {
+		t.st.noteDirtyPage(pid)
+	}
 	t.c.pool.MarkDirty(pid)
 	if e, ok := t.c.dpt[pid]; ok {
 		e.dirtySinceShip = true
@@ -158,7 +160,7 @@ func (t *Txn) Overwrite(obj page.ObjectID, data []byte) error {
 		_, err = t.record(&wal.Update{
 			TxnID: t.st.id, PrevLSN: t.st.lastLSN,
 			Page: obj.Page, Slot: obj.Slot, PSN: before,
-			Op: wal.OpOverwrite, Before: old, After: cloned(data),
+			Op: wal.OpOverwrite, Before: old, After: data,
 		}, obj.Page)
 		return err
 	})
@@ -178,7 +180,7 @@ func (t *Txn) OverwriteAt(obj page.ObjectID, off int, frag []byte) error {
 			TxnID: t.st.id, PrevLSN: t.st.lastLSN,
 			Page: obj.Page, Slot: obj.Slot, PSN: before,
 			Op: wal.OpOverwriteAt, Offset: uint32(off),
-			Before: old, After: cloned(frag),
+			Before: old, After: frag,
 		}, obj.Page)
 		return err
 	})
@@ -237,7 +239,7 @@ func (t *Txn) Insert(pid page.ID, data []byte) (page.ObjectID, error) {
 		_, err = t.record(&wal.Update{
 			TxnID: t.st.id, PrevLSN: t.st.lastLSN,
 			Page: pid, Slot: slot, PSN: before,
-			Op: wal.OpInsert, After: cloned(data),
+			Op: wal.OpInsert, After: data,
 		}, pid)
 		return err
 	})
@@ -271,7 +273,7 @@ func (t *Txn) Resize(obj page.ObjectID, data []byte) error {
 		_, err = t.record(&wal.Update{
 			TxnID: t.st.id, PrevLSN: t.st.lastLSN,
 			Page: obj.Page, Slot: obj.Slot, PSN: before,
-			Op: wal.OpResize, Before: old, After: cloned(data),
+			Op: wal.OpResize, Before: old, After: data,
 		}, obj.Page)
 		return err
 	})
@@ -338,7 +340,7 @@ func (t *Txn) Commit() error {
 		req := msg.CommitShipReq{Client: c.id, Txn: t.st.id, Records: t.st.buffered}
 		if c.cfg.Logging == LogShipPages {
 			c.mu.Lock()
-			for pid := range t.st.dirtyPages {
+			for _, pid := range t.st.dirtyPages {
 				if p, ok := c.pool.Get(pid); ok {
 					if img, err := p.MarshalBinary(); err == nil {
 						req.Pages = append(req.Pages, img)
@@ -495,7 +497,7 @@ func (c *Client) undoUpdate(st *txnState, r *wal.Update) error {
 		_, err = c.recordCLR(st, &wal.CLR{
 			TxnID: st.id, PrevLSN: st.lastLSN,
 			Page: r.Page, Slot: r.Slot, PSN: before,
-			Op: op, Offset: offset, After: cloned(after), UndoNext: r.PrevLSN,
+			Op: op, Offset: offset, After: after, UndoNext: r.PrevLSN,
 		})
 		return err
 	})
@@ -534,7 +536,7 @@ func (c *Client) recordCLR(st *txnState, clr *wal.CLR) (wal.LSN, error) {
 	if err != nil {
 		return wal.NilLSN, err
 	}
-	cost := uint64(len(wal.Encode(clr))) + 8
+	cost := uint64(wal.EncodedSize(clr)) + 8
 	if st.undoNeed > cost+abortRecCost {
 		st.undoNeed -= cost
 	} else {
@@ -548,13 +550,4 @@ func (c *Client) recordCLR(st *txnState, clr *wal.CLR) (wal.LSN, error) {
 		c.dpt[clr.Page] = &dptEntry{redoLSN: lsn, dirtySinceShip: true}
 	}
 	return lsn, nil
-}
-
-func cloned(b []byte) []byte {
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }

@@ -36,6 +36,13 @@ type llmShard struct {
 	// recorded under the object name even when covered by a cached page
 	// lock; structural page operations are recorded under the page name.
 	use map[Name]map[ident.TxnID]Mode
+	// spare holds emptied owner maps of use for reuse, so a name's
+	// first use in a transaction allocates nothing in steady state.
+	spare []map[ident.TxnID]Mode
+	// users holds the transactions with at least one use here.
+	users map[ident.TxnID]struct{}
+	// bit is this shard's bit in LLM.usedShards masks.
+	bit uint64
 	// accessed remembers, per object, the strongest mode any local
 	// transaction ever used it with while the client held covering
 	// locks; de-escalation retains object locks for these (the paper's
@@ -70,6 +77,12 @@ type LLM struct {
 	graphMu    sync.Mutex
 	waitsLocal map[ident.TxnID]map[ident.TxnID]bool
 
+	// usedMu guards usedShards: per active transaction, a mask of the
+	// shards holding its uses (bit i%64 for shard i), so ReleaseTxn
+	// visits only those.  A leaf taken under a shard mutex.
+	usedMu     sync.Mutex
+	usedShards map[ident.TxnID]uint64
+
 	timeout time.Duration
 }
 
@@ -92,16 +105,25 @@ func NewLLMSharded(timeout time.Duration, shards int) *LLM {
 	l := &LLM{
 		shards:     make([]llmShard, shards),
 		waitsLocal: make(map[ident.TxnID]map[ident.TxnID]bool),
+		usedShards: make(map[ident.TxnID]uint64),
 		timeout:    timeout,
 	}
 	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.cached = make(map[Name]Mode)
-		sh.use = make(map[Name]map[ident.TxnID]Mode)
-		sh.accessed = make(map[Name]Mode)
-		sh.fences = make(map[Name]Mode)
+		l.shards[i].bit = 1 << (uint(i) % 64)
+		l.shards[i].reset()
 	}
 	return l
+}
+
+// reset empties the shard's tables.  Called with sh.mu held (or
+// before the LLM is shared).
+func (sh *llmShard) reset() {
+	sh.cached = make(map[Name]Mode)
+	sh.use = make(map[Name]map[ident.TxnID]Mode)
+	sh.spare = nil
+	sh.users = make(map[ident.TxnID]struct{})
+	sh.accessed = make(map[Name]Mode)
+	sh.fences = make(map[Name]Mode)
 }
 
 // shard maps a page to its shard.
@@ -150,7 +172,7 @@ func fenceBlocks(fence Mode, mode Mode) bool {
 // while other local transactions or pending callbacks conflict, or
 // reports NeedGlobal when the server must be consulted.
 func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, error) {
-	deadline := time.Now().Add(l.timeout)
+	var deadline time.Time // set on the first wait; the fast path never reads the clock
 	sh := l.shard(name.Page)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -174,14 +196,14 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 		}
 		if !ownUse {
 			if f, ok := sh.fences[name]; ok && fenceBlocks(f, mode) {
-				if err := sh.wait(deadline); err != nil {
+				if err := sh.wait(l.deadline(&deadline)); err != nil {
 					return 0, err
 				}
 				continue
 			}
 			if !name.IsPage {
 				if f, ok := sh.fences[PageName(name.Page)]; ok && fenceBlocks(f, mode) {
-					if err := sh.wait(deadline); err != nil {
+					if err := sh.wait(l.deadline(&deadline)); err != nil {
 						return 0, err
 					}
 					continue
@@ -194,7 +216,7 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 			if l.setWaitLocalAndCheck(t, blockers) {
 				return 0, ErrDeadlock
 			}
-			err := sh.wait(deadline)
+			err := sh.wait(l.deadline(&deadline))
 			l.clearWaitLocal(t)
 			if err != nil {
 				return 0, err
@@ -203,11 +225,20 @@ func (l *LLM) AcquireLocal(t ident.TxnID, name Name, mode Mode) (LocalResult, er
 		}
 		// Cache coverage.
 		if sh.cacheCovers(name, mode) {
-			sh.recordUse(t, name, mode)
+			l.recordUse(sh, t, name, mode)
 			return Granted, nil
 		}
 		return NeedGlobal, nil
 	}
+}
+
+// deadline returns *d, first setting it to the timeout from now if it
+// is still zero.
+func (l *LLM) deadline(d *time.Time) time.Time {
+	if d.IsZero() {
+		*d = time.Now().Add(l.timeout)
+	}
+	return *d
 }
 
 // setWaitLocalAndCheck records t's blockers in the cross-shard
@@ -231,31 +262,52 @@ func (l *LLM) clearWaitLocal(t ident.TxnID) {
 	l.graphMu.Unlock()
 }
 
+// maxSpareOwners bounds each shard's pool of emptied owner maps.
+const maxSpareOwners = 64
+
 // recordUse registers a transaction's use of a lock that was just
 // installed from a GLM grant (the caller re-ran AcquireLocal, so the
 // use may already exist; recordUse is idempotent).  Called with sh.mu
 // held.
-func (sh *llmShard) recordUse(t ident.TxnID, name Name, mode Mode) {
+func (l *LLM) recordUse(sh *llmShard, t ident.TxnID, name Name, mode Mode) {
 	owners := sh.use[name]
 	if owners == nil {
-		owners = make(map[ident.TxnID]Mode)
+		if n := len(sh.spare); n > 0 {
+			owners = sh.spare[n-1]
+			sh.spare = sh.spare[:n-1]
+		} else {
+			owners = make(map[ident.TxnID]Mode)
+		}
 		sh.use[name] = owners
 	}
 	owners[t] = Max(owners[t], mode)
 	if !name.IsPage {
 		sh.accessed[name] = Max(sh.accessed[name], mode)
 	}
+	if _, ok := sh.users[t]; !ok {
+		sh.users[t] = struct{}{}
+		l.usedMu.Lock()
+		l.usedShards[t] |= sh.bit
+		l.usedMu.Unlock()
+	}
 }
 
-// localConflicts returns the transactions blocking t's request.  All
-// conflicting uses are on the request's page, hence in this shard.
-// Called with sh.mu held.
+// localConflicts returns the transactions blocking t's request, or nil
+// (without allocating) when nothing blocks it.  All conflicting uses
+// are on the request's page, hence in this shard.  Called with sh.mu
+// held.
 func (sh *llmShard) localConflicts(t ident.TxnID, name Name, mode Mode) map[ident.TxnID]bool {
-	blockers := make(map[ident.TxnID]bool)
+	var blockers map[ident.TxnID]bool
+	block := func(o ident.TxnID) {
+		if blockers == nil {
+			blockers = make(map[ident.TxnID]bool)
+		}
+		blockers[o] = true
+	}
 	scan := func(n Name) {
 		for o, m := range sh.use[n] {
 			if o != t && !Compatible(m, mode) {
-				blockers[o] = true
+				block(o)
 			}
 		}
 	}
@@ -269,7 +321,7 @@ func (sh *llmShard) localConflicts(t ident.TxnID, name Name, mode Mode) map[iden
 			}
 			for o, m := range owners {
 				if o != t && !Compatible(m, mode) {
-					blockers[o] = true
+					block(o)
 				}
 			}
 		}
@@ -277,9 +329,6 @@ func (sh *llmShard) localConflicts(t ident.TxnID, name Name, mode Mode) map[iden
 		// An object request conflicts with other transactions' page-level
 		// uses (structural operations in progress).
 		scan(PageName(name.Page))
-	}
-	if len(blockers) == 0 {
-		return nil
 	}
 	return blockers
 }
@@ -356,21 +405,35 @@ func (l *LLM) CachedMode(name Name) Mode {
 }
 
 // ReleaseTxn drops every use of a terminated transaction; cached locks
-// are retained per inter-transaction caching.  Shards are visited in
-// ascending order, one mutex at a time.
+// are retained per inter-transaction caching.  Only the shards holding
+// the transaction's uses are visited, in ascending order, one mutex at
+// a time.
 func (l *LLM) ReleaseTxn(t ident.TxnID) {
-	for i := range l.shards {
+	l.usedMu.Lock()
+	mask := l.usedShards[t]
+	delete(l.usedShards, t)
+	l.usedMu.Unlock()
+	for i := 0; mask != 0 && i < len(l.shards); i++ {
 		sh := &l.shards[i]
+		if mask&sh.bit == 0 {
+			continue
+		}
 		sh.mu.Lock()
-		for n, owners := range sh.use {
-			if _, ok := owners[t]; ok {
-				delete(owners, t)
-				if len(owners) == 0 {
-					delete(sh.use, n)
+		if _, ok := sh.users[t]; ok {
+			delete(sh.users, t)
+			for n, owners := range sh.use {
+				if _, ok := owners[t]; ok {
+					delete(owners, t)
+					if len(owners) == 0 {
+						delete(sh.use, n)
+						if len(sh.spare) < maxSpareOwners {
+							sh.spare = append(sh.spare, owners)
+						}
+					}
 				}
 			}
+			sh.notifyAll()
 		}
-		sh.notifyAll()
 		sh.mu.Unlock()
 	}
 	l.clearWaitLocal(t)
@@ -595,13 +658,13 @@ func (l *LLM) Clear() {
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.Lock()
-		sh.cached = make(map[Name]Mode)
-		sh.use = make(map[Name]map[ident.TxnID]Mode)
-		sh.accessed = make(map[Name]Mode)
-		sh.fences = make(map[Name]Mode)
+		sh.reset()
 		sh.notifyAll()
 		sh.mu.Unlock()
 	}
+	l.usedMu.Lock()
+	l.usedShards = make(map[ident.TxnID]uint64)
+	l.usedMu.Unlock()
 	l.graphMu.Lock()
 	l.waitsLocal = make(map[ident.TxnID]map[ident.TxnID]bool)
 	l.graphMu.Unlock()

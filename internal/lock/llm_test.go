@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"clientlog/internal/ident"
+	"clientlog/internal/page"
 )
 
 var (
@@ -246,4 +247,52 @@ func TestLLMClearAndCachedLocks(t *testing.T) {
 	if got := len(l.CachedLocks()); got != 0 {
 		t.Fatalf("after Clear: %d entries", got)
 	}
+}
+
+// TestLLMReleaseTxnAcrossShards releases transactions whose uses span
+// several shards, including two shards that share a bit of the
+// release mask (more than 64 shards), and checks that every use is
+// gone, that other transactions' uses survive, and that a waiter on a
+// released name wakes.
+func TestLLMReleaseTxnAcrossShards(t *testing.T) {
+	l := NewLLMSharded(time.Second, 70)
+	pages := []uint64{1, 3, 65} // shards 1 and 65 share mask bit 1
+	for _, p := range pages {
+		l.InstallCached(PageName(page.ID(p)), X)
+		for _, tx := range []ident.TxnID{t1, t2} {
+			if res, err := l.AcquireLocal(tx, obj(page.ID(p), uint16(tx.Seq())), X); err != nil || res != Granted {
+				t.Fatalf("page %d txn %v: res=%v err=%v", p, tx, res, err)
+			}
+		}
+	}
+	if got := len(l.TxnUses(t1)); got != len(pages) {
+		t.Fatalf("t1 holds %d uses, want %d", got, len(pages))
+	}
+	// t3 waits for t1's object on the shard that shares its mask bit.
+	t3 := ident.MakeTxnID(1, 3)
+	granted := make(chan error, 1)
+	go func() {
+		_, err := l.AcquireLocal(t3, obj(page.ID(65), uint16(t1.Seq())), X)
+		granted <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	l.ReleaseTxn(t1)
+	if uses := l.TxnUses(t1); len(uses) != 0 {
+		t.Fatalf("t1 still holds %v after release", uses)
+	}
+	if got := len(l.TxnUses(t2)); got != len(pages) {
+		t.Fatalf("t2 holds %d uses after t1's release, want %d", got, len(pages))
+	}
+	if err := <-granted; err != nil {
+		t.Fatalf("waiter on a released name: %v", err)
+	}
+	l.ReleaseTxn(t2)
+	l.ReleaseTxn(t3)
+	for _, p := range pages {
+		if err := l.WaitObjectFree(obj(page.ID(p), 1), X); err != nil {
+			t.Fatalf("page %d not free after every release: %v", p, err)
+		}
+	}
+	// A transaction that never used a lock releases as a no-op.
+	l.ReleaseTxn(ident.MakeTxnID(1, 9))
 }

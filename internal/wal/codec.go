@@ -12,14 +12,59 @@ import (
 // ErrCorrupt reports a record payload that cannot be decoded.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// Encode serializes a record to the byte payload stored in the log.
-// The first byte is the Kind; the rest is kind-specific little-endian
-// fields with u32-length-prefixed byte strings.
-func Encode(r Record) []byte {
-	var w writer
-	w.u8(uint8(r.Kind()))
+// Fixed encoded sizes of the record kinds, kind byte included;
+// EncodedSize adds the variable-length parts.
+const (
+	updateFixed     = 1 + 8 + 8 + 8 + 2 + 8 + 1 + 4 + 4 + 4
+	logicalFixed    = 1 + 8 + 8 + 8 + 2 + 8 + 8
+	clrFixed        = 1 + 8 + 8 + 8 + 2 + 8 + 1 + 4 + 4 + 8 + 8
+	endFixed        = 1 + 8 + 8 // Commit and Abort
+	checkpointFixed = 1 + 4 + 4
+	txnInfoSize     = 8 + 8 + 8
+	dptEntrySize    = 8 + 8
+	callbackFixed   = 1 + 8 + 2 + 4 + 8
+	replFixed       = 1 + 8 + 8 + 4
+	replEntrySize   = 4 + 8
+	srvCkptFixed    = 1 + 4
+	dctEntrySize    = 8 + 4 + 8 + 8
+)
+
+// EncodedSize returns len(Encode(r)) without encoding or allocating.
+func EncodedSize(r Record) int {
 	switch rec := r.(type) {
 	case *Update:
+		return updateFixed + len(rec.Before) + len(rec.After)
+	case *Logical:
+		return logicalFixed
+	case *CLR:
+		return clrFixed + len(rec.After)
+	case *Commit, *Abort:
+		return endFixed
+	case *Checkpoint:
+		return checkpointFixed + len(rec.Active)*txnInfoSize + len(rec.DPT)*dptEntrySize
+	case *Callback:
+		return callbackFixed
+	case *Replacement:
+		return replFixed + len(rec.Entries)*replEntrySize
+	case *ServerCheckpoint:
+		return srvCkptFixed + len(rec.DCT)*dctEntrySize
+	default:
+		panic("wal.EncodedSize: unknown record type")
+	}
+}
+
+// Encode serializes a record to the byte payload stored in the log.
+// The first byte is the Kind; the rest is kind-specific little-endian
+// fields with u32-length-prefixed byte strings.  The payload is
+// allocated at its exact size, once, and shares no memory with r.
+//
+// Encode calls no method of r, so a record built on the caller's stack
+// stays there.
+func Encode(r Record) []byte {
+	w := writer{buf: make([]byte, 0, EncodedSize(r))}
+	switch rec := r.(type) {
+	case *Update:
+		w.u8(uint8(KindUpdate))
 		w.u64(uint64(rec.TxnID))
 		w.u64(uint64(rec.PrevLSN))
 		w.u64(uint64(rec.Page))
@@ -30,6 +75,7 @@ func Encode(r Record) []byte {
 		w.bytes(rec.Before)
 		w.bytes(rec.After)
 	case *Logical:
+		w.u8(uint8(KindLogical))
 		w.u64(uint64(rec.TxnID))
 		w.u64(uint64(rec.PrevLSN))
 		w.u64(uint64(rec.Page))
@@ -37,6 +83,7 @@ func Encode(r Record) []byte {
 		w.u64(uint64(rec.PSN))
 		w.u64(uint64(rec.Delta))
 	case *CLR:
+		w.u8(uint8(KindCLR))
 		w.u64(uint64(rec.TxnID))
 		w.u64(uint64(rec.PrevLSN))
 		w.u64(uint64(rec.Page))
@@ -48,12 +95,15 @@ func Encode(r Record) []byte {
 		w.u64(uint64(rec.Delta))
 		w.u64(uint64(rec.UndoNext))
 	case *Commit:
+		w.u8(uint8(KindCommit))
 		w.u64(uint64(rec.TxnID))
 		w.u64(uint64(rec.PrevLSN))
 	case *Abort:
+		w.u8(uint8(KindAbort))
 		w.u64(uint64(rec.TxnID))
 		w.u64(uint64(rec.PrevLSN))
 	case *Checkpoint:
+		w.u8(uint8(KindCheckpoint))
 		w.u32(uint32(len(rec.Active)))
 		for _, t := range rec.Active {
 			w.u64(uint64(t.ID))
@@ -66,11 +116,13 @@ func Encode(r Record) []byte {
 			w.u64(uint64(d.RedoLSN))
 		}
 	case *Callback:
+		w.u8(uint8(KindCallback))
 		w.u64(uint64(rec.Object.Page))
 		w.u16(rec.Object.Slot)
 		w.u32(uint32(rec.Responder))
 		w.u64(uint64(rec.PSN))
 	case *Replacement:
+		w.u8(uint8(KindReplacement))
 		w.u64(uint64(rec.Page))
 		w.u64(uint64(rec.PagePSN))
 		w.u32(uint32(len(rec.Entries)))
@@ -79,6 +131,7 @@ func Encode(r Record) []byte {
 			w.u64(uint64(e.PSN))
 		}
 	case *ServerCheckpoint:
+		w.u8(uint8(KindServerCheckpoint))
 		w.u32(uint32(len(rec.DCT)))
 		for _, e := range rec.DCT {
 			w.u64(uint64(e.Page))
@@ -87,7 +140,7 @@ func Encode(r Record) []byte {
 			w.u64(uint64(e.RedoLSN))
 		}
 	default:
-		panic(fmt.Sprintf("wal.Encode: unknown record type %T", r))
+		panic("wal.Encode: unknown record type")
 	}
 	return w.buf
 }

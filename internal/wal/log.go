@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"sync"
 
 	"clientlog/internal/obs"
@@ -16,6 +17,7 @@ type Log struct {
 	// Group-commit state: concurrent Force callers elect one leader
 	// that flushes the whole appended prefix while the rest wait on
 	// flushDone, so K committers pay ~1 device flush between them.
+	// flushDone is nil until a waiter needs it.
 	fmu       sync.Mutex
 	flushing  bool
 	flushDone chan struct{}
@@ -81,10 +83,13 @@ func (l *Log) AppendWithHeadroom(r Record, headroom uint64) (LSN, error) {
 
 // AppendEncoded appends an already-encoded record payload; the server
 // uses it to store log records shipped by clients at commit in the
-// LogShipCommit baseline without a decode/re-encode round trip.
+// LogShipCommit baseline without a decode/re-encode round trip.  The
+// payload belongs to the caller (a request body the transport may
+// reuse), so the store is handed a copy.
 func (l *Log) AppendEncoded(payload []byte) (LSN, error) {
+	owned := bytes.Clone(payload)
 	l.mu.Lock()
-	lsn, err := l.store.Append(payload)
+	lsn, err := l.store.Append(owned)
 	l.mu.Unlock()
 	if err != nil {
 		return NilLSN, err
@@ -122,6 +127,11 @@ func (l *Log) Force(upTo LSN) error {
 		}
 		l.fmu.Lock()
 		if l.flushing {
+			// The first waiter makes the channel, so a force that
+			// nobody waits on allocates nothing.
+			if l.flushDone == nil {
+				l.flushDone = make(chan struct{})
+			}
 			done := l.flushDone
 			l.fmu.Unlock()
 			l.coalesced.Add(1)
@@ -131,8 +141,6 @@ func (l *Log) Force(upTo LSN) error {
 			continue
 		}
 		l.flushing = true
-		done := make(chan struct{})
-		l.flushDone = done
 		l.fmu.Unlock()
 
 		// Flush the whole appended prefix, not just upTo: every waiter
@@ -145,8 +153,12 @@ func (l *Log) Force(upTo LSN) error {
 		err := l.store.Flush(target)
 		l.fmu.Lock()
 		l.flushing = false
+		done := l.flushDone
+		l.flushDone = nil
 		l.fmu.Unlock()
-		close(done)
+		if done != nil {
+			close(done)
+		}
 		return err
 	}
 }

@@ -81,7 +81,11 @@ func TestPropCodecRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		rec := randRecord(r)
-		dec, err := Decode(Encode(rec))
+		enc := Encode(rec)
+		if len(enc) != EncodedSize(rec) || cap(enc) != len(enc) {
+			return false
+		}
+		dec, err := Decode(enc)
 		return err == nil && reflect.DeepEqual(rec, dec)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -17,7 +17,10 @@ import (
 // the simulator), and FileStore, backed by a real file (used by the cmd/
 // tools and the examples).
 type Store interface {
-	// Append stores a payload and returns the LSN assigned to it.
+	// Append stores a payload and returns the LSN assigned to it.  The
+	// store takes ownership of payload: it may keep the slice itself
+	// rather than a copy, so the caller must not modify it afterwards.
+	// Log hands over each record's freshly encoded bytes.
 	Append(payload []byte) (LSN, error)
 	// Flush makes every record with LSN <= upTo durable.
 	Flush(upTo LSN) error
@@ -52,6 +55,7 @@ var (
 // roll itself back even when forward appends are being refused.  Stores
 // that do not track capacity simply don't implement it.
 type HeadroomAppender interface {
+	// AppendHeadroom takes ownership of payload, as Store.Append does.
 	AppendHeadroom(payload []byte, headroom uint64) (LSN, error)
 }
 
@@ -104,9 +108,7 @@ func (m *MemStore) AppendHeadroom(payload []byte, headroom uint64) (LSN, error) 
 		return NilLSN, ErrLogFull
 	}
 	lsn := m.end
-	p := make([]byte, len(payload))
-	copy(p, payload)
-	m.recs = append(m.recs, memRec{lsn: lsn, payload: p})
+	m.recs = append(m.recs, memRec{lsn: lsn, payload: payload})
 	m.end += LSN(sz)
 	return lsn, nil
 }
@@ -199,13 +201,18 @@ func (m *MemStore) Reclaim(upTo LSN) error {
 	for j < i && m.recs[j].lsn+LSN(len(m.recs[j].payload))+8 <= upTo {
 		j++
 	}
-	m.recs = append([]memRec(nil), m.recs[j:]...)
-	if j > 0 {
-		if len(m.recs) > 0 {
-			m.reclaimed = m.recs[0].lsn
-		} else {
-			m.reclaimed = m.end
-		}
+	if j == 0 {
+		return nil
+	}
+	// Compact in place; clearing the vacated tail lets the reclaimed
+	// payloads be collected.
+	n := copy(m.recs, m.recs[j:])
+	clear(m.recs[n:])
+	m.recs = m.recs[:n]
+	if n > 0 {
+		m.reclaimed = m.recs[0].lsn
+	} else {
+		m.reclaimed = m.end
 	}
 	return nil
 }

@@ -266,3 +266,126 @@ func TestLogMetrics(t *testing.T) {
 			l.RecordsAppended(), l.BytesAppended(), l.Forces())
 	}
 }
+
+// TestEncodedSizeMatchesEncode checks EncodedSize against the encoder
+// for every record kind, including absent and empty images and
+// non-empty checkpoint, replacement and DCT lists, and that Encode
+// allocates its payload at exactly that size.
+func TestEncodedSizeMatchesEncode(t *testing.T) {
+	t1 := ident.MakeTxnID(1, 2)
+	recs := append(testRecords(),
+		&Update{TxnID: t1, Op: OpOverwrite},
+		&Update{TxnID: t1, Op: OpOverwrite, Before: []byte{}, After: []byte{}},
+		&Update{TxnID: t1, Op: OpInsert, After: make([]byte, 300)},
+		&CLR{TxnID: t1, Op: OpDelete},
+		&CLR{TxnID: t1, Op: OpOverwrite, After: []byte{}},
+		&Checkpoint{Active: []TxnInfo{{ID: t1}, {ID: t1 + 1}}},
+		&Checkpoint{DPT: []DPTEntry{{Page: 1}, {Page: 2}, {Page: 3}}},
+		&Replacement{Page: 4},
+		&ServerCheckpoint{},
+		&ServerCheckpoint{DCT: []DCTEntry{{Page: 1, Client: 2}, {Page: 3, Client: 4}}},
+	)
+	kinds := map[Kind]bool{}
+	for _, rec := range recs {
+		kinds[rec.Kind()] = true
+		enc := Encode(rec)
+		if got := EncodedSize(rec); got != len(enc) {
+			t.Errorf("%s %+v: EncodedSize %d, Encode wrote %d bytes", rec.Kind(), rec, got, len(enc))
+		}
+		if cap(enc) != len(enc) {
+			t.Errorf("%s: payload cap %d for %d bytes", rec.Kind(), cap(enc), len(enc))
+		}
+	}
+	for k := KindUpdate; k <= KindServerCheckpoint; k++ {
+		if !kinds[k] {
+			t.Errorf("kind %s not covered", k)
+		}
+	}
+}
+
+// TestAppendEncodedCopiesPayload pins the ownership rule of the append
+// path: the store keeps the payload it is handed, so AppendEncoded,
+// whose caller keeps its bytes, must hand over a copy.
+func TestAppendEncodedCopiesPayload(t *testing.T) {
+	l := NewLog(NewMemStore(0))
+	raw := Encode(&Commit{TxnID: 7, PrevLSN: 16})
+	lsn, err := l.AppendEncoded(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range raw {
+		raw[i] = 0xFF
+	}
+	rec, _, err := l.Read(lsn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := rec.(*Commit); !ok || c.TxnID != 7 || c.PrevLSN != 16 {
+		t.Fatalf("record changed with the caller's buffer: %#v", rec)
+	}
+}
+
+// TestMemStoreReclaimCompactsInPlace reclaims prefixes of a log
+// repeatedly and checks that the horizon, reads on both sides of it,
+// the free space and crash truncation behave as before compaction.
+func TestMemStoreReclaimCompactsInPlace(t *testing.T) {
+	st := NewMemStore(0)
+	l := NewLog(st)
+	var lsns []LSN
+	appendN := func(n int) {
+		for i := 0; i < n; i++ {
+			lsn, err := l.Append(&Commit{TxnID: ident.TxnID(len(lsns) + 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lsns = append(lsns, lsn)
+		}
+	}
+	appendN(10)
+	if err := l.ForceAll(); err != nil {
+		t.Fatal(err)
+	}
+	// A bound inside the first record drops nothing.
+	if err := l.Reclaim(lsns[0] + 1); err != nil {
+		t.Fatal(err)
+	}
+	if h := l.Horizon(); h != lsns[0] {
+		t.Fatalf("horizon %v after a no-op reclaim, want %v", h, lsns[0])
+	}
+	for _, cut := range []int{3, 7} {
+		if err := l.Reclaim(lsns[cut]); err != nil {
+			t.Fatal(err)
+		}
+		if h := l.Horizon(); h != lsns[cut] {
+			t.Fatalf("horizon %v, want %v", h, lsns[cut])
+		}
+		if _, _, err := l.Read(lsns[cut-1]); !errors.Is(err, ErrReclaimed) {
+			t.Fatalf("read below horizon: %v", err)
+		}
+		for i := cut; i < len(lsns); i++ {
+			rec, _, err := l.Read(lsns[i])
+			if err != nil || rec.Txn() != ident.TxnID(i+1) {
+				t.Fatalf("record %d after reclaim: %v %v", i, rec, err)
+			}
+		}
+	}
+	if live := st.LiveBytes(); live != uint64(l.End()-lsns[7]) {
+		t.Fatalf("live bytes %d, want %d", live, l.End()-lsns[7])
+	}
+	// Unflushed appends after a compaction still die in a crash.
+	appendN(2)
+	st.Crash()
+	if _, _, err := l.Read(lsns[len(lsns)-1]); err == nil {
+		t.Fatal("unflushed record survived crash")
+	}
+	if _, _, err := l.Read(lsns[9]); err != nil {
+		t.Fatalf("durable record lost: %v", err)
+	}
+	// Reclaiming everything durable empties the store.
+	if err := l.Reclaim(l.End()); err != nil {
+		t.Fatal(err)
+	}
+	if h := l.Horizon(); h != l.End() {
+		t.Fatalf("horizon %v after full reclaim, want end %v", h, l.End())
+	}
+}
